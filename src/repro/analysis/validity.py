@@ -8,21 +8,27 @@ variable at each node."
 
 Lattice: per variable, two booleans (valid-on-host, valid-on-device);
 TOP is (True, True), meet is conjunction — a copy is valid at a join
-only if it is valid on every incoming path.  The transfer function
-records a :class:`TransferNeed` whenever a read observes a stale copy
-(a true RAW dependency across memory spaces — anti and output
-dependencies need no communication) and then *assumes the transfer
+only if it is valid on every incoming path.  A read that observes a
+stale copy is a true RAW dependency across memory spaces (anti and
+output dependencies need no communication) and records a
+:class:`TransferNeed`; the analysis then *assumes the transfer
 happens*, so downstream state reflects the mapping the tool will insert.
 
-The fixpoint visits loop back edges like any other edge, which realizes
-the paper's loop rule: if data must be valid at the top of a loop body,
-it must still be valid when the back edge is taken, otherwise the meet
-exposes a loop-carried dependency.
+The fixpoint runs as gen/kill bit-vector dataflow: tracked variables
+are numbered, a state is a ``(host_mask, dev_mask)`` pair and meet is
+``&``.  Any access leaves its own space valid (reads through the
+assumed transfer) and any write leaves the other space stale, so a
+host node maps ``(h, d)`` to ``(h | touched, d & ~written)`` and a
+device node is the mirror image.  Loop back edges are ordinary edges,
+which realizes the paper's loop rule: if data must be valid at the top
+of a loop body, it must still be valid when the back edge is taken,
+otherwise the meet exposes a loop-carried dependency.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..cfg.astcfg import ASTCFG
@@ -54,15 +60,12 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class VarState:
-    """Validity of one variable's copies.  Immutable; meet returns new.
+    """Validity of one variable's copies, decoded from the bit masks.
 
-    There are only four possible states, so every operation hands back
-    one of the four module-level instances (:data:`_INTERNED`) — the
-    fixpoint loop churns through millions of meets on large inputs and
-    interning keeps that allocation-free.  Equality is structural with
-    an identity fast path (the hand-written ``__eq__`` below): interned
-    states hit the ``is`` check, while externally-constructed instances
-    still compare by value.
+    There are only four possible states; :class:`ValidityResult` hands
+    back the module-level instances (:data:`_INTERNED`).  Equality is
+    structural with an identity fast path, so externally-constructed
+    instances still compare by value.
     """
 
     valid_host: bool = True
@@ -82,8 +85,6 @@ class VarState:
         return hash((self.valid_host, self.valid_dev))
 
     def meet(self, other: "VarState") -> "VarState":
-        if self is other:
-            return self
         return _INTERNED[
             self.valid_host and other.valid_host,
             self.valid_dev and other.valid_dev,
@@ -92,20 +93,9 @@ class VarState:
     def valid_in(self, space: Space) -> bool:
         return self.valid_host if space is Space.HOST else self.valid_dev
 
-    def with_valid(self, space: Space, value: bool) -> "VarState":
-        if space is Space.HOST:
-            return _INTERNED[bool(value), self.valid_dev]
-        return _INTERNED[self.valid_host, bool(value)]
-
     def after_write(self, space: Space) -> "VarState":
         """A write makes its space the only valid one."""
         return ENTRY if space is Space.HOST else _DEVICE_ONLY
-
-    def after_weak_write(self, space: Space) -> "VarState":
-        """A partial (element) write: the writing space stays/becomes
-        valid, the other becomes stale — same as a strong write under
-        the paper's whole-array conservatism."""
-        return self.after_write(space)
 
 
 #: TOP of the lattice: both copies valid (used for unvisited preds).
@@ -169,6 +159,31 @@ class VarFacts:
             self.host_writes |= kind.writes
 
 
+class _DecodedStates(Mapping):
+    """``node -> {var: VarState}`` view, decoded from per-rank masks."""
+
+    def __init__(self, rank: dict[CFGNode, int], host: list[int],
+                 dev: list[int], bits: dict[str, int]):
+        self._rank = rank
+        self._host = host
+        self._dev = dev
+        self._bits = bits
+
+    def __getitem__(self, node: CFGNode) -> dict[str, VarState]:
+        r = self._rank[node]
+        h, d = self._host[r], self._dev[r]
+        return {
+            var: _INTERNED[bool(h & bit), bool(d & bit)]
+            for var, bit in self._bits.items()
+        }
+
+    def __iter__(self):
+        return iter(self._rank)
+
+    def __len__(self) -> int:
+        return len(self._rank)
+
+
 @dataclass
 class ValidityResult:
     """Everything the planner needs from the dataflow."""
@@ -176,9 +191,9 @@ class ValidityResult:
     needs: list[TransferNeed]
     facts: dict[str, VarFacts]
     #: Fixpoint state *entering* each node.
-    state_in: dict[CFGNode, dict[str, VarState]]
+    state_in: Mapping[CFGNode, dict[str, VarState]]
     #: Fixpoint state *leaving* each node.
-    state_out: dict[CFGNode, dict[str, VarState]]
+    state_out: Mapping[CFGNode, dict[str, VarState]]
     #: Per-node resolved accesses (cached for placement queries).
     node_accesses: dict[int, list[Access]]
 
@@ -187,7 +202,7 @@ class ValidityResult:
 
 
 class ValidityAnalysis:
-    """Worklist fixpoint over one function's AST-CFG."""
+    """Bit-vector fixpoint over one function's AST-CFG."""
 
     def __init__(
         self,
@@ -200,11 +215,6 @@ class ValidityAnalysis:
         self.effects = effects
         self.tracked = tracked
         self._accesses: dict[int, list[Access]] = {}
-        #: (node_id, id(access)) -> guardedness.  The Access objects are
-        #: owned by the ``_accesses`` cache, so their ids are stable for
-        #: this analysis' lifetime; the walk behind the answer is pure,
-        #: and the fixpoint re-applies nodes many times.
-        self._guard_memo: dict[tuple[int, int], bool] = {}
         self._must_execute_heads = self._find_must_execute_heads()
 
     def _find_must_execute_heads(self) -> set[int]:
@@ -245,65 +255,14 @@ class ValidityAnalysis:
         self._accesses[node.node_id] = result
         return result
 
-    # -- transfer function ------------------------------------------------------
-
-    def _apply_node(
-        self,
-        node: CFGNode,
-        state: dict[str, VarState],
-        needs: dict[tuple[str, str, int], TransferNeed],
-        facts: dict[str, VarFacts] | None,
-    ) -> dict[str, VarState]:
-        accesses = self.accesses_of(node)
-        if not accesses:
-            # No tracked accesses: the transfer function is the identity.
-            # Returning ``state`` itself (not a copy) is safe because
-            # fixpoint states are never mutated after they are stored.
-            return state
-        space = Space.DEVICE if node.offloaded else Space.HOST
-        out = dict(state)
-        for acc in accesses:
-            var = acc.name
-            vs = out.get(var, ENTRY)
-            reads = acc.kind.reads
-            if acc.kind.writes and not reads and self._write_is_guarded(node, acc):
-                # A conditionally-executed write is a read-modify-write
-                # at whole-variable granularity: the untaken path keeps
-                # the incoming value, so the destination copy must be
-                # valid *before* the write (bfs's device-set flag is the
-                # canonical case).
-                reads = True
-            if facts is not None:
-                fact = facts.setdefault(var, VarFacts(var, acc.decl))
-                if fact.decl is None:
-                    fact.decl = acc.decl
-                fact.note(space, acc.kind, node.kernel)
-            if reads:
-                if not vs.valid_in(space):
-                    direction = (
-                        Direction.HTOD if space is Space.DEVICE else Direction.DTOH
-                    )
-                    need = TransferNeed(var, direction, node, acc, node.kernel)
-                    needs.setdefault(need.key, need)
-                    # Assume the tool satisfies the dependency here.
-                    vs = vs.with_valid(space, True)
-            if acc.kind.writes:
-                vs = vs.after_write(space)
-            out[var] = vs
-        return out
-
     def _write_is_guarded(self, node: CFGNode, acc: Access) -> bool:
-        key = (node.node_id, id(acc))
-        cached = self._guard_memo.get(key)
-        if cached is None:
-            cached = self._guard_memo[key] = self._compute_write_guarded(
-                node, acc
-            )
-        return cached
-
-    def _compute_write_guarded(self, node: CFGNode, acc: Access) -> bool:
         """Is this write control-dependent on a branch whose other arm
         does not also write the variable?
+
+        A conditionally-executed write is a read-modify-write at
+        whole-variable granularity: the untaken path keeps the incoming
+        value, so the destination copy must be valid *before* the write
+        (bfs's device-set flag is the canonical case).
 
         Walks the AST ancestry from the writing statement up to the
         enclosing kernel directive (device writes) or the function (host
@@ -342,121 +301,158 @@ class ValidityAnalysis:
         # Conditional operators *inside* the same statement also guard.
         return _write_under_conditional(stmt, acc)
 
-    def _meet_states(
-        self, states: list[dict[str, VarState] | None]
-    ) -> dict[str, VarState]:
-        """Pointwise meet; unvisited (None) inputs contribute TOP."""
-        incoming: dict[str, VarState] | None = None
-        tracked = self.tracked
-        top = TOP
-        for st in states:
-            if st is None:
-                continue
-            if incoming is None:
-                incoming = dict(st)
-            else:
-                get_in = incoming.get
-                get_st = st.get
-                for var in tracked:
-                    incoming[var] = get_in(var, top).meet(get_st(var, top))
-        if incoming is None:
-            return {v: top for v in tracked}
-        return incoming
-
     # -- fixpoint -----------------------------------------------------------------
 
     def run(self) -> ValidityResult:
-        nodes = self.cfg.nodes
-        state_out: dict[CFGNode, dict[str, VarState]] = {}
-        state_in: dict[CFGNode, dict[str, VarState]] = {}
-        needs: dict[tuple[str, str, int], TransferNeed] = {}
+        cfg = self.cfg
+        bits = {var: 1 << i for i, var in enumerate(sorted(self.tracked))}
+        full = (1 << len(bits)) - 1
 
-        entry_state = {v: ENTRY for v in self.tracked}
-        from collections import deque
+        # Dense ranks in reverse postorder; a node reached only through
+        # a back edge (none in structured CFGs) joins at the end.
+        order = cfg.topological_order()
+        rank = {node: r for r, node in enumerate(order)}
+        for node in order:
+            for edge in node.successors:
+                if edge.dst not in rank:
+                    rank[edge.dst] = len(order)
+                    order.append(edge.dst)
+        n = len(order)
+        heads = self._must_execute_heads
 
-        order = self.cfg.topological_order()
-        worklist: deque[CFGNode] = deque(order)
-        in_worklist = set(n.node_id for n in worklist)
-        iterations = 0
-        limit = max(64, len(nodes) * len(nodes))
+        # Per rank: device flag, gen/kill masks, predecessor slots and
+        # successor ranks.  OUT slots ``r`` hold a node's OUT state and
+        # ``n + r`` a must-execute head's exit-edge state; unvisited
+        # slots stay TOP, the identity of the meet.
+        device: list[bool] = []
+        touched: list[int] = []
+        written: list[int] = []
+        preds: list[list[int]] = []
+        back_preds: list[list[int] | None] = []
+        succs: list[list[int]] = []
+        for node in order:
+            t = w = 0
+            for acc in self.accesses_of(node):
+                kind = acc.kind
+                if kind.reads or kind.writes:
+                    t |= bits[acc.name]
+                    if kind.writes:
+                        w |= bits[acc.name]
+            device.append(node.offloaded)
+            touched.append(t)
+            written.append(w)
+            preds.append([
+                rank[e.src] + n if (
+                    e.label is EdgeLabel.FALSE and not e.is_back_edge
+                    and e.src.node_id in heads
+                ) else rank[e.src]
+                for e in node.predecessors if e.src in rank
+            ])
+            back_preds.append(
+                [rank[e.src] for e in node.predecessors
+                 if e.is_back_edge and e.src in rank]
+                if node.node_id in heads else None
+            )
+            succs.append([rank[e.dst] for e in node.successors])
 
-        #: Exit-edge states for must-execute loop heads (false edge only).
-        state_out_false: dict[CFGNode, dict[str, VarState]] = {}
-
-        def pred_out_for(edge) -> dict[str, VarState] | None:
-            """The OUT state flowing along ``edge`` from its source."""
-            src = edge.src
-            if (
-                src.node_id in self._must_execute_heads
-                and edge.label is EdgeLabel.FALSE
-                and not edge.is_back_edge
-            ):
-                return state_out_false.get(src)
-            return state_out.get(src)
-
-        while worklist:
-            iterations += 1
-            if iterations > limit * 4:  # pragma: no cover - safety valve
-                raise RuntimeError("validity analysis failed to converge")
-            node = worklist.popleft()
-            in_worklist.discard(node.node_id)
-
-            if node is self.cfg.entry:
-                incoming = dict(entry_state)
-            else:
-                preds = node.predecessors
-                if len(preds) == 1:
-                    # Single predecessor: the meet is the identity.
-                    # Fixpoint dicts are never mutated once stored, so
-                    # the predecessor's OUT is shared, not copied.
-                    st = pred_out_for(preds[0])
-                    incoming = (
-                        st if st is not None else {v: TOP for v in self.tracked}
-                    )
+        in_h = [full] * n
+        in_d = [full] * n
+        out_h = [full] * (2 * n)
+        out_d = [full] * (2 * n)
+        entry = rank[cfg.entry]
+        pending = [True] * n
+        again = True
+        while again:
+            again = False
+            for r in range(n):
+                if not pending[r]:
+                    continue
+                pending[r] = False
+                if r == entry:
+                    h, d = full, 0
                 else:
-                    incoming = self._meet_states([pred_out_for(e) for e in preds])
+                    h = d = full
+                    for p in preds[r]:
+                        h &= out_h[p]
+                        d &= out_d[p]
+                in_h[r], in_d[r] = h, d
+                t, w = touched[r], written[r]
+                if device[r]:
+                    h, d = h & ~w, d | t
+                else:
+                    h, d = h | t, d & ~w
+                changed = out_h[r] != h or out_d[r] != d
+                out_h[r], out_d[r] = h, d
+                back = back_preds[r]
+                if back is not None:
+                    # The exit edge carries post-body state only: meet
+                    # over back-edge predecessors, through the predicate.
+                    h = d = full
+                    for p in back:
+                        h &= out_h[p]
+                        d &= out_d[p]
+                    if device[r]:
+                        h, d = h & ~w, d | t
+                    else:
+                        h, d = h | t, d & ~w
+                    if out_h[n + r] != h or out_d[n + r] != d:
+                        out_h[n + r], out_d[n + r] = h, d
+                        changed = True
+                if changed:
+                    for s in succs[r]:
+                        pending[s] = True
+                        if s <= r:
+                            again = True
 
-            state_in[node] = incoming
-            new_out = self._apply_node(node, incoming, needs, None)
-            changed = state_out.get(node) != new_out
-            state_out[node] = new_out
-
-            if node.node_id in self._must_execute_heads:
-                # The exit edge carries post-body state only: meet over
-                # back-edge predecessors, re-run through the predicate.
-                back_in = self._meet_states(
-                    [
-                        state_out.get(e.src)
-                        for e in node.predecessors
-                        if e.is_back_edge
-                    ]
-                )
-                new_false = self._apply_node(node, back_in, needs, None)
-                if state_out_false.get(node) != new_false:
-                    state_out_false[node] = new_false
-                    changed = True
-
-            if changed:
-                for edge in node.successors:
-                    if edge.dst.node_id not in in_worklist:
-                        worklist.append(edge.dst)
-                        in_worklist.add(edge.dst.node_id)
-
-        # Final fact-collection sweep against the fixpoint states.
+        # One sweep against the fixpoint: facts for every access, and a
+        # need for the first access of each variable in a node when it
+        # reads (or writes under a guard) a copy stale on entry.
         facts: dict[str, VarFacts] = {}
-        final_needs: dict[tuple[str, str, int], TransferNeed] = {}
-        for node in nodes:
-            if node in state_in:
-                self._apply_node(node, state_in[node], final_needs, facts)
+        needs: list[TransferNeed] = []
+        for node in cfg.nodes:
+            r = rank.get(node)
+            if r is None:
+                continue
+            accesses = self._accesses[node.node_id]
+            if not accesses:
+                continue
+            if device[r]:
+                space, direction, valid = Space.DEVICE, Direction.HTOD, in_d[r]
+            else:
+                space, direction, valid = Space.HOST, Direction.DTOH, in_h[r]
+            seen = 0
+            for acc in accesses:
+                var, kind = acc.name, acc.kind
+                fact = facts.get(var)
+                if fact is None:
+                    fact = facts[var] = VarFacts(var, acc.decl)
+                elif fact.decl is None:
+                    fact.decl = acc.decl
+                fact.note(space, kind, node.kernel)
+                bit = bits[var]
+                if seen & bit or not (kind.reads or kind.writes):
+                    continue
+                seen |= bit
+                if not valid & bit and (
+                    kind.reads or self._write_is_guarded(node, acc)
+                ):
+                    needs.append(
+                        TransferNeed(var, direction, node, acc, node.kernel)
+                    )
 
-        ordered = sorted(
-            final_needs.values(),
-            key=lambda n: (
-                n.node.ast.begin_offset if n.node.ast is not None else 0,
-                n.var,
-            ),
+        needs.sort(
+            key=lambda need: (
+                need.node.ast.begin_offset if need.node.ast is not None else 0,
+                need.var,
+            )
         )
-        return ValidityResult(ordered, facts, state_in, state_out, dict(self._accesses))
+        return ValidityResult(
+            needs,
+            facts,
+            _DecodedStates(rank, in_h, in_d, bits),
+            _DecodedStates(rank, out_h, out_d, bits),
+            dict(self._accesses),
+        )
 
 
 def _subtree_writes(root: A.Node, var: str) -> bool:

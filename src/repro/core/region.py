@@ -116,15 +116,25 @@ def check_declarations_precede_region(
 
     # Declarations actually referenced from inside offload kernels —
     # identity matters: an unrelated same-named variable declared after
-    # the region is fine.
+    # the region is fine.  Offloaded statements nest (a kernel's loop,
+    # then its body), so only the outermost subtrees are walked: a
+    # nested one lies inside an enclosing node's walk_index/walk_end
+    # interval.
     kernel_decls: set[int] = set()
-    for node in astcfg.cfg.nodes:
-        if not node.offloaded or node.ast is None:
+    covered_to = -1
+    for stmt in sorted(
+        (node.ast for node in astcfg.cfg.nodes
+         if node.offloaded and node.ast is not None),
+        key=lambda stmt: stmt.walk_index,
+    ):
+        if stmt.walk_index < covered_to:
             continue
-        for ref in node.ast.walk_instances(A.DeclRefExpr):
+        covered_to = stmt.walk_end
+        for ref in stmt.walk_instances(A.DeclRefExpr):
             if isinstance(ref.decl, A.VarDecl) and ref.name in tracked:
                 kernel_decls.add(ref.decl.node_id)
 
+    refs_after_region: list[A.DeclRefExpr] | None = None
     for decl in astcfg.function.walk_instances(A.VarDecl):
         if isinstance(decl, A.ParmVarDecl):
             continue
@@ -141,10 +151,12 @@ def check_declarations_precede_region(
             # A host-only local declared inside the (to-be-braced) region
             # but referenced after it would fall out of scope once the
             # rewriter wraps the block — same remedy as the paper's rule.
-            violates = any(
-                ref.decl is decl and ref.begin_offset >= region.end_offset
-                for ref in astcfg.function.walk_instances(A.DeclRefExpr)
-            )
+            if refs_after_region is None:
+                refs_after_region = [
+                    ref for ref in astcfg.function.walk_instances(A.DeclRefExpr)
+                    if ref.begin_offset >= region.end_offset
+                ]
+            violates = any(ref.decl is decl for ref in refs_after_region)
         if violates:
             loc = decl.range.begin
             diagnostics.append(

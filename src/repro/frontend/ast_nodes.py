@@ -111,12 +111,6 @@ class Node:
             return iter([node for node in subtree if isinstance(node, kinds)])
         return (node for node in self._generic_walk() if isinstance(node, kinds))
 
-    def set_parents(self) -> None:
-        """Populate ``parent`` links throughout this subtree."""
-        for node in self._generic_walk():
-            for child in node.children():
-                child.parent = node
-
     def ancestors(self) -> Iterator["Node"]:
         node = self.parent
         while node is not None:
@@ -181,7 +175,8 @@ class TranslationUnit(Decl):
 
     def preorder(self) -> list[Node]:
         """The cached pre-order node list, stamping ``walk_index`` /
-        ``walk_end`` on every node the first time it is built.
+        ``walk_end`` and linking ``parent`` on every node the first time
+        it is built.
 
         The parser calls this once per parse; unpickled or hand-built
         trees build it lazily on first use.  The list is dropped from
@@ -201,6 +196,7 @@ class TranslationUnit(Decl):
                 order.append(node)
                 stack.append((node, True))
                 for child in reversed(node.children()):
+                    child.parent = node
                     stack.append((child, False))
             self._preorder = order
             self._id_index = None

@@ -249,13 +249,12 @@ class Parser:
                 raise self._error("OpenMP directive outside of a function body")
             decls.extend(self._parse_external_declaration())
         tu = A.TranslationUnit(decls, self.buffer.filename, self._range(start))
-        # Finalize the pre-order walk indices up front: the forward-
-        # reference fixup below, parent linking, and every later
-        # analysis walk then iterate the cached list instead of
+        # Finalize the pre-order walk indices and parent links in one
+        # walk up front: the forward-reference fixup below and every
+        # later analysis walk then iterate the cached list instead of
         # re-traversing children().
         tu.preorder()
         self._resolve_forward_references(tu)
-        tu.set_parents()
         return tu
 
     def _resolve_forward_references(self, tu: A.TranslationUnit) -> None:
@@ -271,14 +270,15 @@ class Parser:
                 by_name[fn.name] = fn
         for var in tu.global_vars():
             by_name.setdefault(var.name, var)
-        for node in tu.walk():
+        nodes = list(tu.walk_instances(A.DeclRefExpr, A.CallExpr))
+        for node in nodes:
             if isinstance(node, A.DeclRefExpr) and node.decl is None:
                 decl = by_name.get(node.name)
                 if decl is not None:
                     node.decl = decl
                     node.qual_type = self._decl_type(decl)
         # Recompute call-expression result types now that callees resolve.
-        for node in tu.walk():
+        for node in nodes:
             if isinstance(node, A.CallExpr) and node.qual_type is None:
                 node.qual_type = self._call_type(node.callee)
 

@@ -83,8 +83,9 @@ class SourceBuffer:
         return len(self._line_starts)
 
     def location(self, offset: int) -> "SourceLocation":
-        line, col = self.line_col(offset)
-        return SourceLocation(offset, line, col, self.filename)
+        """A location whose line/column resolve against this buffer on
+        first use — most token and node locations never need them."""
+        return SourceLocation(offset, 0, 0, self.filename, self)
 
 
 @total_ordering
@@ -95,9 +96,14 @@ class SourceLocation:
     one is built for every token the lexer emits, and the dataclass
     ``object.__setattr__`` construction path showed up in frontend
     profiles.  Treat instances as immutable.
+
+    Locations made by :meth:`SourceBuffer.location` keep the buffer and
+    resolve ``line``/``column`` from the offset on first access; pickles
+    always carry the resolved ``(offset, line, column, filename)``,
+    never the buffer.
     """
 
-    __slots__ = ("offset", "line", "column", "filename")
+    __slots__ = ("offset", "filename", "_line", "_column", "_buffer")
 
     def __init__(
         self,
@@ -105,11 +111,34 @@ class SourceLocation:
         line: int,
         column: int,
         filename: str = "<input>",
+        buffer: SourceBuffer | None = None,
     ):
         self.offset = offset
-        self.line = line
-        self.column = column
         self.filename = filename
+        self._line = line
+        self._column = column
+        self._buffer = buffer
+
+    def _resolve(self) -> None:
+        self._line, self._column = self._buffer.line_col(self.offset)
+        self._buffer = None
+
+    @property
+    def line(self) -> int:
+        if self._buffer is not None:
+            self._resolve()
+        return self._line
+
+    @property
+    def column(self) -> int:
+        if self._buffer is not None:
+            self._resolve()
+        return self._column
+
+    def __reduce__(self):
+        return (
+            SourceLocation, (self.offset, self.line, self.column, self.filename)
+        )
 
     def __repr__(self) -> str:
         return (

@@ -264,9 +264,10 @@ def _decode_text(payload: bytes, deps: Mapping[str, Any] | None) -> Any:
 def _refs_schema(pass_name: str) -> ArtifactSchema:
     # v3: AST nodes carry pre-order walk indices in their pickled slots,
     # so v2 spills (parse and everything resolved against it) are
-    # incompatible and must never be looked up.
+    # incompatible and must never be looked up.  v4: source locations
+    # pickle as ``(offset, line, column, filename)`` constructor args.
     return ArtifactSchema(
-        pass_name, 3, "refs", _encode_refs, _decode_refs, depends=("parse",)
+        pass_name, 4, "refs", _encode_refs, _decode_refs, depends=("parse",)
     )
 
 
@@ -275,7 +276,7 @@ SCHEMAS: dict[str, ArtifactSchema] = {
     s.pass_name: s
     for s in (
         ArtifactSchema("preprocess", 2, "tokens", _encode_tokens, _decode_tokens),
-        ArtifactSchema("parse", 3, "pickle", _encode_pickle, _decode_pickle),
+        ArtifactSchema("parse", 4, "pickle", _encode_pickle, _decode_pickle),
         # Codegen rows are pure data (source text + symbolic binding
         # descriptors) — a plain pickle round-trips them exactly.
         ArtifactSchema("codegen", 2, "pickle", _encode_pickle, _decode_pickle),

@@ -853,6 +853,43 @@ def compiled_kernel(row: dict[str, Any], math: dict[str, Any]) -> Any:
     return ns["_kernel"]
 
 
+def _stores_in_extent(
+    checks: list[dict[str, Any]],
+    pvar: str,
+    slots: list[Any],
+    first: int,
+    last: int,
+) -> bool:
+    """Does every store's flat position range lie inside its array?
+
+    Positions are affine in the parallel index (``first``..``last``)
+    and in inner-loop indices with constant inclusive ranges, so each
+    store's extreme positions follow from its subscript chain.
+    """
+    for check in checks:
+        storage, offset, shape = slots[check["slot"]]
+        intervals = check["intervals"]
+        chain = check["chain"]
+        low = high = offset
+        for k, (coeffs, const) in enumerate(chain):
+            lo_k = hi_k = const
+            for sym, coeff in coeffs.items():
+                if not coeff:
+                    continue
+                ends = (first, last) if sym == pvar else intervals.get(sym)
+                if ends is None:
+                    return False
+                a, b = coeff * ends[0], coeff * ends[1]
+                lo_k += min(a, b)
+                hi_k += max(a, b)
+            stride = _prod(shape, k + 1) if len(chain) > 1 else 1
+            low += stride * lo_k
+            high += stride * hi_k
+        if low < 0 or high >= storage.size:
+            return False
+    return True
+
+
 # -- preflight memoization -----------------------------------------------
 
 
@@ -1642,6 +1679,7 @@ def compile_straight_candidate(
     header = compiler.pvars[0]
     op, step = header.op, header.step
     stores_disjoint = compiler._stores_disjoint_fn()
+    store_checks = compiler._store_checks
     cache: dict[str, Any] = {}
     scalar_idx = [i for i, s in enumerate(specs) if s["kind"] == "scalar"]
     # One launch's derived state: [slots, scalar_values, lo, t, pv, pc].
@@ -1667,7 +1705,13 @@ def compile_straight_candidate(
                 return False
             if not stores_disjoint(slots, [t]):
                 return False
-            pv = lo + step * np.arange(t, dtype=np.int64) if t else None
+            if t and not _stores_in_extent(
+                store_checks, header.var, slots, lo, lo + step * (t - 1)
+            ):
+                return False
+            # The lane vector is built on first use, after the launch
+            # is charged: a runaway trip count trips max_steps first.
+            pv = None
             pc: dict[int, Any] = {}
             launch_state[:] = [slots, svals, lo, t, pv, pc]
         ch = cache.get("charge")
@@ -1683,6 +1727,8 @@ def compile_straight_candidate(
             charge(1 + t + 1)
             if not t:
                 return True
+            if pv is None:
+                pv = launch_state[4] = lo + step * np.arange(t, dtype=np.int64)
             vbody(slots, charge, t, pv, pc)
         except V._RuntimeDecline:
             machine.steps = steps0

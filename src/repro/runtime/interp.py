@@ -18,15 +18,20 @@ Offload semantics implemented here (and observed by the profiler):
 * ``target data`` regions and ``target update`` directives follow the
   OpenMP 5.2 reference-count rules of :mod:`repro.runtime.device`,
   including the Listing 3 pitfall.
-* ``firstprivate``/``reduction``/implicit-scalar arguments travel as
-  kernel arguments: **no memcpy recorded** — the optimization OMPDart
-  exploits (paper section IV-D, verified on clang/gcc/icx).
+* ``firstprivate``/``reduction`` scalars travel as kernel arguments:
+  **no memcpy recorded** — the optimization OMPDart exploits (paper
+  section IV-D, verified on clang/gcc/icx).
 
-Implicit-mapping note: scalars referenced without any clause are mapped
-``tofrom`` like aggregates (OpenMP 4.0 semantics, which the evaluated
-benchmarks' "Unoptimized" variants rely on for correctness); explicit
-``firstprivate`` suppresses the copies.  DESIGN.md documents this
-substitution.
+Implicit-scalar rule: a scalar a kernel references with no
+``map``/``firstprivate``/``private``/``reduction`` clause is mapped
+``tofrom`` through the present table, exactly like an aggregate
+(OpenMP 4.0 semantics).  Outside an enclosing data region it is copied
+in at launch and back at kernel exit, so a kernel's write to it reaches
+the host; inside one, the region's copy is used.  OpenMP >= 4.5
+compilers (gcc, clang) instead make such a scalar implicitly
+``firstprivate`` and drop the write — bfs's ``stop`` flag prints a
+different result natively.  The ROADMAP's correctness item tracks
+making this rule explicit and matching the native one.
 """
 
 from __future__ import annotations

@@ -1698,6 +1698,7 @@ class _NestCompiler:
         seen_levels: set[int] = set()
         spread: list[tuple[int, int, int]] = []
         syms: set[str] = set()
+        intervals: dict[str, tuple[int, int]] = {}
         for k, (coeffs, _const) in enumerate(chain):
             for sym, coeff in coeffs.items():
                 if coeff == 0:
@@ -1729,6 +1730,7 @@ class _NestCompiler:
                         "store subscript symbol with unknown range"
                     )
                 spread.append((k, abs(coeff), interval[1] - interval[0]))
+                intervals[sym] = interval
         if len(seen_levels) != len(self.pvars):
             raise _Ineligible(
                 "store subscript is not injective in the parallel index"
@@ -1739,6 +1741,10 @@ class _NestCompiler:
             "pvar_terms": pvar_terms,
             "spread_terms": spread,
             "syms": syms,
+            # The affine subscript and its symbols' inclusive ranges,
+            # for launch-time extent checks.
+            "chain": chain,
+            "intervals": intervals,
         }
 
     def _compile_array_store(

@@ -249,3 +249,58 @@ def test_scalar_bound_change_recomputes_lanes():
     vec = run_simulation(src, "bound.c", vectorize=True)
     assert_identical(interp, vec)
     assert "s 64.0" in vec.output
+
+
+# ---------------------------------------------------------------------------
+# Resource guards: step budget and array extent
+# ---------------------------------------------------------------------------
+
+
+def test_codegen_charges_steps_before_building_lanes(monkeypatch):
+    """An in-extent store with a trip count beyond the step budget must
+    trip ``max_steps`` before the lane vector is allocated."""
+    import numpy as np
+
+    import repro.runtime.codegen as CG
+    from repro.runtime.interp import SimulationError
+
+    class NoLanes:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def arange(self, *args, **kwargs):
+            raise AssertionError("lane vector built before the step charge")
+
+    src = """
+    double a[4096];
+    int main() {
+      #pragma omp target teams distribute parallel for
+      for (int i = 0; i < 4096; i++) { a[i] = 1.0; }
+      return 0;
+    }
+    """
+    assert run_simulation(src, "budget.c", vectorize=True).vector_strategy == "codegen"
+    monkeypatch.setattr(CG, "np", NoLanes())
+    with pytest.raises(SimulationError, match="exceeded"):
+        run_simulation(src, "budget.c", max_steps=1000, vectorize=True)
+
+
+@pytest.mark.parametrize("subscript, codegen", [("i + 1", True), ("i - 1", False)])
+def test_store_outside_array_extent_declines_codegen(subscript, codegen):
+    """A store whose positions leave the array (``a[-1]`` here) is not
+    run by the codegen tier; the fallback keeps every result identical."""
+    src = f"""
+    double a[64];
+    int main() {{
+      #pragma omp target teams distribute parallel for
+      for (int i = 0; i < 8; i++) {{ a[{subscript}] = i + 0.5; }}
+      double s = 0.0;
+      for (int i = 0; i < 64; i++) {{ s += a[i] * (i + 1); }}
+      printf("s %.1f\\n", s);
+      return 0;
+    }}
+    """
+    interp = run_simulation(src, "extent.c", vectorize=False)
+    vec = run_simulation(src, "extent.c", vectorize=True)
+    assert_identical(interp, vec)
+    assert (vec.vector_strategy == "codegen") is codegen
