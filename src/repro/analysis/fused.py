@@ -7,19 +7,19 @@ call-graph depth, statement filtering).  :func:`fused_scan` gathers all
 of those facts in **one** pass over the translation unit's cached
 pre-order list:
 
-* the input-constraint diagnostics (data-management directives), in the
-  exact order :func:`repro.core.errors.check_input_constraints` emits
-  them;
+* the input-constraint diagnostics (data-management directives), in
+  pre-order;
 * the function-definition table in declaration order;
 * per function, the CFG-granular statements (``Stmt`` minus compounds
   and OMP directives — the same filter the effects fixpoint applies on
   every pass) and every ``CallExpr`` (what the call-depth bound walks).
 
-The result is handed from the constraints pass to the effects pass via
-``PipelineContext.scratch`` — never cached, never pickled — so the
-artifact bytes of both passes stay bit-identical to the legacy
-traversals (``ToolOptions.legacy_analysis`` keeps the old path
-selectable for the identity tests).
+It is the only analysis walk: :func:`repro.core.errors.check_input_constraints`
+and a bare ``InterproceduralAnalysis(tu)`` both run it.  In the
+pipeline the result is handed from the constraints pass to the effects
+pass via ``PipelineContext.scratch`` — never cached, never pickled.
+The plans it yields are pinned by ``tests/golden/analysis_digests.json``,
+taken with the multi-walk traversals it replaced.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from ..frontend import ast_nodes as A
 class FusedPrep:
     """Facts gathered by one pre-order walk of a translation unit."""
 
-    #: Constraint diagnostics, in pre-order (= legacy walk) order.
+    #: Constraint diagnostics, in pre-order.
     constraint_diagnostics: list[Diagnostic] = field(default_factory=list)
     #: Function definitions, in declaration order, last duplicate wins
     #: (same contract as ``tu.function_definitions()`` fed into a dict).

@@ -24,12 +24,13 @@ concurrently (deterministic output ordering, shared artifact cache)::
     ompdart batch src/*.c -j 8           # 8 worker processes
     ompdart batch a.c b.c -o outdir      # write <outdir>/<name>
     ompdart batch a.c --cache-dir .ompdart-cache   # on-disk artifacts
-    ompdart batch src/*.c -j 4 --cache-dir C --report  # shared-store stats
-    ompdart batch --cache-dir C --migrate          # compact legacy spills
+    ompdart batch src/*.c -j 4 --cache-dir C --report  # cache + spill stats
+    ompdart batch src/*.c -j 4 --cache-dir C --store-url http://node:8571
     ompdart batch a.c --simulate --platform h100-sxm5
 
-Serve mode puts the asyncio job service in front of the shared
-artifact store: submit/await transform and evaluation jobs over HTTP,
+Serve mode puts the asyncio job service in front of the artifact
+store (a ``--cache-dir`` node also serves ``/artifacts`` to remote
+clients): submit/await transform and evaluation jobs over HTTP,
 deduplicated by content hash, with bounded concurrency::
 
     ompdart serve --port 8571 --workers 4 --cache-dir .ompdart-cache
@@ -87,7 +88,7 @@ run, on batch and on suite records the same breakdown for those
 workloads (aggregate kind, per-pass walls from worker outcomes)::
 
     ompdart profile input.c
-    ompdart profile input.c --json profile.json --legacy-analysis
+    ompdart profile input.c --json profile.json
     ompdart input.c --profile profile.json -o out.c
     ompdart batch src/*.c -j 4 --profile batch_profile.json --report
     ompdart suite --profile suite_profile.json
@@ -271,20 +272,11 @@ def build_batch_arg_parser() -> argparse.ArgumentParser:
         help="persist per-pass artifacts here (shared across workers/runs)",
     )
     parser.add_argument(
-        "--migrate",
-        action="store_true",
-        help=(
-            "rewrite legacy whole-object spills in --cache-dir to the "
-            "compact per-pass schema format (reports bytes saved); may "
-            "be used without inputs"
-        ),
-    )
-    parser.add_argument(
         "--report",
         action="store_true",
         help=(
-            "print per-input pass timings, cache events, and shared-"
-            "store traffic (cross-worker hits, spill-size reduction)"
+            "print per-input pass timings and cache events, per-pass "
+            "cache hits by origin, and the --cache-dir spill census"
         ),
     )
     parser.add_argument(
@@ -413,14 +405,6 @@ def build_profile_arg_parser() -> argparse.ArgumentParser:
         dest="json_path",
         metavar="PATH",
         help="write the ompdart-profile/1 artifact here",
-    )
-    parser.add_argument(
-        "--legacy-analysis",
-        action="store_true",
-        help=(
-            "profile the legacy multi-traversal analysis passes instead "
-            "of the fused single-walk scan (before/after comparisons)"
-        ),
     )
     return parser
 
@@ -1312,10 +1296,7 @@ def _run_profile(argv: list[str]) -> int:
         write_profile_json,
     )
 
-    options = ToolOptions(
-        predefined_macros=_parse_defines(args.defines),
-        legacy_analysis=args.legacy_analysis,
-    )
+    options = ToolOptions(predefined_macros=_parse_defines(args.defines))
     payload = profile_source(source, args.input, options)
     print(render_profile(payload))
     if args.json_path:
@@ -1457,18 +1438,6 @@ def _run_batch(argv: list[str]) -> int:
 
         print(platform_table())
         return 0
-    if args.migrate:
-        if not args.cache_dir:
-            print(
-                "ompdart batch: error: --migrate requires --cache-dir",
-                file=sys.stderr,
-            )
-            return 2
-        from .pipeline.artifacts import migrate_spills
-
-        print(f"ompdart: {args.cache_dir}: {migrate_spills(args.cache_dir).render()}")
-        if not args.inputs:
-            return 0
     if not args.inputs:
         print("ompdart batch: error: no input files", file=sys.stderr)
         return 2
@@ -1487,23 +1456,7 @@ def _run_batch(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    cache = None
-    run_stats = None
-    if args.cache_dir and args.jobs <= 1:
-        # Serial runs keep a handle on the cache so --report can show
-        # per-pass disk traffic; worker processes own their caches.
-        from .pipeline.cache import ArtifactCache
-
-        cache = ArtifactCache(
-            disk_dir=args.cache_dir, measure_baseline=args.report
-        )
-    if args.cache_dir and args.report and cache is None:
-        # Process runs surface pool-wide traffic through the shared
-        # store's counters instead.
-        run_stats = BatchRunStats()
-    elif args.store_url and args.report:
-        # Serial remote runs park the driver client's health here.
-        run_stats = BatchRunStats()
+    run_stats = BatchRunStats()
     import time
 
     batch_start = time.perf_counter()
@@ -1512,7 +1465,6 @@ def _run_batch(argv: list[str]) -> int:
         options,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        cache=cache,
         run_stats=run_stats,
         store_url=args.store_url,
     )
@@ -1571,54 +1523,9 @@ def _run_batch(argv: list[str]) -> int:
             with open(dest, "w", encoding="utf-8") as fh:
                 fh.write(outcome.output_source or "")
     if args.report and args.cache_dir:
-        from .pipeline.cache import ArtifactCache
-
-        if cache is not None:
-            for name, stat in sorted(cache.stats.items()):
-                print(
-                    f"  cache {name:<11s} {stat.hits} hit(s) / "
-                    f"{stat.misses} miss(es), "
-                    f"{stat.disk_bytes_read}B read / "
-                    f"{stat.disk_bytes_written}B written"
-                )
-            _print_spill_reduction(
-                sum(s.disk_bytes_written for s in cache.stats.values()),
-                sum(s.baseline_bytes_written for s in cache.stats.values()),
-            )
-            report_cache = cache
-        else:
-            if run_stats is None or run_stats.store is None:
-                # Worker processes own their private counters; without
-                # a shared store (unsupported host) only the on-disk
-                # total is observable from the driver.
-                print(
-                    "ompdart: no shared store on this host; per-pass "
-                    "counters live in the worker processes under -j, "
-                    "showing disk totals only"
-                )
-            else:
-                stats = run_stats.store
-                for name, s in sorted(stats.passes.items()):
-                    print(
-                        f"  store {name:<11s} {s.hits} hit(s) / "
-                        f"{s.misses} miss(es), {s.writes} write(s), "
-                        f"{s.cross_worker_hits} cross-worker hit(s)"
-                    )
-                print(
-                    f"ompdart: shared store: {stats.hits} hit(s), "
-                    f"{stats.cross_worker_hits} cross-worker hit(s) "
-                    "across the pool"
-                )
-                _print_spill_reduction(
-                    stats.bytes_written, stats.baseline_bytes
-                )
-            report_cache = ArtifactCache(disk_dir=args.cache_dir)
+        _print_cache_report(outcomes, args.cache_dir)
         if args.store_url:
-            _print_remote_report(args.store_url, run_stats)
-        print(
-            f"ompdart: disk cache {args.cache_dir}: "
-            f"{report_cache.disk_usage()} byte(s) in spill files"
-        )
+            _print_remote_report(args.store_url, run_stats.remote)
     deduped = sum(1 for o in outcomes if o.deduped_from)
     if args.report and deduped:
         print(
@@ -1645,50 +1552,58 @@ def _run_batch(argv: list[str]) -> int:
     return 1 if failures else 0
 
 
-def _print_remote_report(store_url: str, run_stats) -> None:
-    """The --report line for remote-store traffic, from either shape.
+def _print_cache_report(outcomes, cache_dir: str) -> None:
+    """The --report cache block, one path for serial and ``-j`` runs.
 
-    Serial runs hand back the driver client's health dict (singular
-    event names); process runs aggregate workers' counters through the
-    shared store's reserved rows (plural, via ``remote_view``).
+    Per-pass hits/misses fold the cache events of the inputs that ran
+    (duplicates served from a representative's result ran nothing);
+    per-pass files/bytes come from the spill census.
     """
-    remote = None
-    if run_stats is not None:
-        remote = run_stats.remote
-        if remote is None and run_stats.store is not None:
-            from .pipeline.remote import remote_view
+    from collections import Counter
 
-            remote = remote_view(run_stats.store.internal)
+    from .pipeline.store import spill_stats
+
+    ran = {o.filename: o for o in outcomes if not o.deduped_from}
+    traffic: dict[str, Counter] = {}
+    for outcome in ran.values():
+        for name, event in outcome.cache_events.items():
+            # A hit counts under its origin (memory / disk / remote).
+            label = outcome.cache_origins.get(name, event)
+            traffic.setdefault(name, Counter())[label] += 1
+    census = spill_stats(cache_dir)
+    for name in sorted(set(traffic) | set(census["by_pass"])):
+        row = traffic.get(name, Counter())
+        misses = row.pop("miss", 0)
+        row.pop("uncached", None)
+        origins = ", ".join(f"{n} {origin}" for origin, n in sorted(row.items()))
+        spill = census["by_pass"].get(name, {"files": 0, "bytes": 0})
+        print(
+            f"  cache {name:<11s} {sum(row.values())} hit(s)"
+            + (f" ({origins})" if origins else "")
+            + f" / {misses} miss(es), "
+            f"{spill['files']} spill(s) {spill['bytes']}B"
+        )
+    print(
+        f"ompdart: disk cache {cache_dir}: {census['bytes']} byte(s) in "
+        f"{census['files']} spill file(s)"
+    )
+
+
+def _print_remote_report(store_url: str, remote: dict[str, int] | None) -> None:
+    """The --report line for remote-store traffic (pool-wide counters)."""
     if remote is None:
         print(f"ompdart: remote store {store_url}: no traffic recorded")
         return
-
-    def count(*names: str) -> int:
-        return next((int(remote[n]) for n in names if n in remote), 0)
-
     line = (
         f"ompdart: remote store {store_url}: "
-        f"{count('hits', 'hit')} remote hit(s), "
-        f"{count('misses', 'miss')} miss(es), "
-        f"{count('puts', 'put')} publish(es), "
-        f"{count('errors', 'error')} error(s)"
+        f"{remote['hits']} remote hit(s), "
+        f"{remote['misses']} miss(es), "
+        f"{remote['puts']} publish(es), "
+        f"{remote['errors']} error(s)"
     )
-    degraded = count("degraded")
-    if degraded:
-        line += f", {degraded} degraded op(s) served locally"
+    if remote["degraded"]:
+        line += f", {remote['degraded']} degraded op(s) served locally"
     print(line)
-
-
-def _print_spill_reduction(compact: int, baseline: int) -> None:
-    """Quote the compact-vs-legacy spill size delta measured this run."""
-    if not compact or not baseline:
-        return
-    pct = 100.0 * (baseline - compact) / baseline
-    print(
-        f"ompdart: compact spills: {compact}B written vs {baseline}B "
-        f"legacy whole-object format ({pct:.1f}% smaller, "
-        f"{baseline / compact:.2f}x)"
-    )
 
 
 def _run_suite(argv: list[str]) -> int:

@@ -7,12 +7,8 @@ from ..frontend import ast_nodes as A
 
 
 def data_management_diagnostic(node: A.OMPExecutableDirective) -> Diagnostic:
-    """The constraint-violation diagnostic for one offending directive.
-
-    Shared by the legacy whole-walk check below and the fused
-    single-walk scan (:mod:`repro.analysis.fused`) so both paths emit
-    byte-identical messages.
-    """
+    """The constraint-violation diagnostic for one offending directive
+    (emitted by the single-walk scan of :mod:`repro.analysis.fused`)."""
     loc = node.range.begin
     return Diagnostic(
         Severity.ERROR,
@@ -32,11 +28,9 @@ def check_input_constraints(tu: A.TranslationUnit) -> list[Diagnostic]:
     offloading directives.  This code should not include any instances
     of target data or target update directives."
     """
-    diagnostics: list[Diagnostic] = []
-    for node in tu.walk():
-        if isinstance(node, A.DATA_MANAGEMENT_DIRECTIVES):
-            diagnostics.append(data_management_diagnostic(node))
-    return diagnostics
+    from ..analysis.fused import fused_scan
+
+    return fused_scan(tu).constraint_diagnostics
 
 
 def has_offload_kernels(tu: A.TranslationUnit) -> bool:

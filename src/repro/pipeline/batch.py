@@ -6,14 +6,12 @@ shared in-process cache when ``jobs <= 1``) and returns compact,
 picklable :class:`BatchOutcome` records in **submission order** —
 results are deterministic regardless of worker scheduling.
 
-Worker processes keep a process-global :class:`PassManager`, so
-repeated inputs inside one batch still hit the artifact cache; pass a
-``cache_dir`` to share artifacts across processes and across runs.
-With a cache directory, the driver also opens a
-:class:`~repro.pipeline.store.SharedArtifactStore` for the run, so
-duplicate inputs discovered *mid-run* are served by whichever worker
-produced them first — cross-worker hits the CLI's ``--report``
-surfaces from the store's shared counters.
+Content-identical inputs are collapsed at submit (one representative
+runs, its outcome fans out), and worker processes keep a process-global
+:class:`PassManager`, so repeated work inside one batch hits the
+artifact cache; pass a ``cache_dir`` to share artifacts across
+processes and across runs through its spill files, and a ``store_url``
+to add a remote store node behind it.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from ..service.core import (  # noqa: F401
 from .cache import ArtifactCache, fingerprint
 from .context import ToolOptions
 from .manager import PassManager
-from .store import SharedArtifactStore, StoreStats
 
 #: Backwards-compatible aliases (the worker runtime moved to the
 #: service layer; the batch driver is a thin client of it).
@@ -64,16 +61,15 @@ def parallel_map(
 class BatchRunStats:
     """Pool-wide observability a caller can opt into per batch run.
 
-    ``transform_batch`` fills this in when given one: the shared
-    store's per-pass counters (cross-worker hits, bytes) for process
-    runs, and nothing extra for serial runs (the caller already holds
-    the cache there).
+    Per-pass cache traffic travels with each outcome
+    (``cache_events``/``cache_origins``); this carries what no single
+    outcome can.
     """
 
-    store: StoreStats | None = None
-    #: Serial runs with a ``store_url`` park the driver's remote client
-    #: health here (process runs aggregate through ``store`` instead).
-    remote: dict[str, Any] | None = None
+    #: Runs with a ``store_url``: the remote tier's counters summed over
+    #: every process that served the batch
+    #: (:func:`repro.pipeline.remote.pool_view` shape).
+    remote: dict[str, int] | None = None
     #: Content-hash pre-dedup accounting for the run: how many distinct
     #: sources actually dispatched, and how many inputs were fanned out
     #: from a representative's result instead of running themselves.
@@ -81,11 +77,15 @@ class BatchRunStats:
     deduped_inputs: int = 0
 
 
-def _worker_transform(job: tuple[str, str, ToolOptions]) -> BatchOutcome:
+def _worker_transform(
+    job: tuple[str, str, ToolOptions],
+) -> tuple[BatchOutcome, tuple[int, dict[str, Any]] | None]:
+    """(outcome, this worker's remote snapshot) for one input."""
     source, filename, options = job
-    from ..service.core import _runtime_manager
+    from ..service.core import _runtime_manager, remote_snapshot
 
-    return transform_one(_runtime_manager(), source, filename, options)
+    outcome = transform_one(_runtime_manager(), source, filename, options)
+    return outcome, remote_snapshot()
 
 
 def _retag(text: str | None, old: str, new: str) -> str | None:
@@ -145,15 +145,14 @@ def transform_batch(
 
     In-process ``cache``/``manager`` objects cannot cross the process
     boundary, so combining them with ``jobs > 1`` is an error — use
-    ``cache_dir`` to share artifacts between workers instead.  Process
-    runs with a cache directory open a shared store for the run;
-    ``run_stats`` receives its counters after the pool drains.
+    ``cache_dir`` to share artifacts between workers instead.
 
     ``store_url`` layers the remote tier on top: lookups that miss
     locally read through to a store node's ``/artifacts`` routes and
     fresh spills publish back write-behind.  Requires ``cache_dir``
     (remote payloads land as local spills); a down store node degrades
-    to the local tiers, it never fails the batch.
+    to the local tiers, it never fails the batch.  ``run_stats``
+    receives the tier's pool-wide counters.
     """
     options = options or ToolOptions()
     items = list(items)
@@ -204,8 +203,9 @@ def transform_batch(
         remote = None
         if store_url is not None and mgr.cache.disk_dir is not None:
             from ..service.core import make_remote_client
+            from .remote import pool_view
 
-            remote = make_remote_client(store_url, None)
+            remote = make_remote_client(store_url)
             mgr.cache.remote = remote
         try:
             return _fan_out([
@@ -216,36 +216,30 @@ def transform_batch(
             if remote is not None:
                 remote.flush(timeout=5.0)
                 if run_stats is not None:
-                    run_stats.remote = remote.health()
+                    run_stats.remote = pool_view([remote.health()])
                 mgr.cache.remote = None
                 remote.close()
 
     jobs = min(jobs, len(unique))
     payload = [(src, fname, options) for src, fname in unique]
-    store = (
-        SharedArtifactStore.create(cache_dir) if cache_dir is not None else None
+    replies = dispatch_map(
+        _worker_transform,
+        payload,
+        jobs=jobs,
+        cache_dir=cache_dir,
+        store_url=store_url,
+        # Amortize per-item IPC once the queue is long; one chunk per
+        # worker per ~8 rounds keeps the pool load-balanced.
+        chunksize=max(1, min(32, len(payload) // (jobs * 8))),
     )
-    try:
-        results = dispatch_map(
-            _worker_transform,
-            payload,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            store_name=store.name if store is not None else None,
-            # The baseline double-serialization only pays off when the
-            # store exists to carry the counters back to the driver.
-            measure_baseline=run_stats is not None and store is not None,
-            store_url=store_url,
-            # Amortize per-item IPC once the queue is long; one chunk
-            # per worker per ~8 rounds keeps the pool load-balanced.
-            chunksize=max(1, min(32, len(payload) // (jobs * 8))),
-        )
-        if store is not None and run_stats is not None:
-            run_stats.store = store.stats()
-        return _fan_out(results)
-    finally:
-        if store is not None:
-            store.close()
+    if run_stats is not None and store_url is not None:
+        from .remote import pool_view
+
+        # Snapshots are cumulative per process and a worker runs its
+        # chunks in submission order, so the last one per pid wins.
+        latest = {snap[0]: snap[1] for _, snap in replies if snap is not None}
+        run_stats.remote = pool_view(latest.values())
+    return _fan_out([outcome for outcome, _ in replies])
 
 
 def transform_paths(
@@ -259,12 +253,7 @@ def transform_paths(
     store_url: str | None = None,
     dedup: bool = True,
 ) -> list[BatchOutcome]:
-    """Read files and transform them as one batch (CLI entry point).
-
-    Pass an in-process ``cache`` (serial runs only) to observe its
-    hit/miss and disk-byte counters after the batch — the CLI's
-    ``--report`` uses this to surface on-disk cache traffic.
-    """
+    """Read files and transform them as one batch (CLI entry point)."""
     items: list[tuple[str, str]] = []
     outcomes_by_index: dict[int, BatchOutcome] = {}
     readable: list[int] = []

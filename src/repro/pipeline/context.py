@@ -21,19 +21,12 @@ class ToolOptions:
     predefined_macros: dict[str, object] = field(default_factory=dict)
     #: When False, diagnostics of WARNING severity do not fail the run.
     werror: bool = False
-    #: When True, run the historical separate-traversal constraints and
-    #: effects passes instead of the fused single-walk scan.  Artifacts
-    #: are bit-identical either way (the identity tests prove it), but
-    #: the flag is part of the fingerprint so the two paths never share
-    #: cache entries by fiat.
-    legacy_analysis: bool = False
 
     def fingerprint_parts(self) -> tuple[Any, ...]:
         """The option values that affect pipeline artifacts."""
         return (
             sorted(self.predefined_macros.items()),
             self.werror,
-            self.legacy_analysis,
         )
 
 
@@ -57,8 +50,7 @@ class PipelineContext:
     timings: dict[str, float] = field(default_factory=dict)
     #: pass name -> "hit" | "miss" | "uncached".
     cache_events: dict[str, str] = field(default_factory=dict)
-    #: pass name -> where a hit came from: "memory" | "disk" | "store"
-    #: ("store" = published by a sibling worker during this run).
+    #: pass name -> where a hit came from: "memory" | "disk" | "remote".
     cache_origins: dict[str, str] = field(default_factory=dict)
     #: Uncached pass-to-pass handoff (e.g. the fused-scan prep the
     #: constraints pass leaves for the effects pass).  Never part of

@@ -23,7 +23,6 @@ from typing import Any, Callable
 from ..analysis.effects import InterproceduralAnalysis
 from ..analysis.fused import fused_scan
 from ..cfg.astcfg import build_astcfgs
-from ..core.errors import check_input_constraints
 from ..core.planner import plan_function
 from ..diagnostics import Diagnostic, Severity, ToolError
 from ..frontend.parser import Parser
@@ -67,12 +66,9 @@ def _build_codegen(ctx: PipelineContext) -> Any:
 
 
 def _build_constraints(ctx: PipelineContext) -> list[Diagnostic]:
-    if ctx.options.legacy_analysis:
-        return check_input_constraints(ctx.artifact("parse"))
-    # Fused fast path: one walk gathers the constraint diagnostics AND
-    # the effects-pass prep facts; the prep rides to _build_effects on
-    # the uncached scratch channel, so the cached artifact (the
-    # diagnostics list) is identical to the legacy pass's.
+    # One walk gathers the constraint diagnostics AND the effects-pass
+    # prep facts; the prep rides to _build_effects on the uncached
+    # scratch channel, so the cached artifact is the diagnostics list.
     prep = fused_scan(ctx.artifact("parse"))
     ctx.scratch["fused_prep"] = prep
     return prep.constraint_diagnostics
@@ -89,13 +85,9 @@ def _finalize_constraints(
 
 
 def _build_effects(ctx: PipelineContext) -> InterproceduralAnalysis:
-    if ctx.options.legacy_analysis:
-        return InterproceduralAnalysis(ctx.artifact("parse"))
+    # None when the constraints build was skipped (cache hit): the
+    # analysis then runs the single walk itself.
     prep = ctx.scratch.pop("fused_prep", None)
-    if prep is None:
-        # The constraints build was skipped (cache hit), so its scratch
-        # handoff never happened — redo the single walk here.
-        prep = fused_scan(ctx.artifact("parse"))
     return InterproceduralAnalysis(ctx.artifact("parse"), prepared=prep)
 
 

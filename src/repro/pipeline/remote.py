@@ -1,8 +1,8 @@
 """Remote artifact store backend: HTTP client built failure-first.
 
-The :class:`~repro.pipeline.store.SharedArtifactStore` shares artifacts
-across the worker processes of *one machine*.  This module extends the
-tier one hop further: a :class:`RemoteStoreClient` speaks the compact
+A cache directory shares artifacts across the worker processes of
+*one machine*.  This module extends the tier one hop further: a
+:class:`RemoteStoreClient` speaks the compact
 spill container format of :mod:`repro.pipeline.artifacts` against the
 content-addressed ``/artifacts/<key>`` routes of ``ompdart serve``, so
 a fleet of batch/serve nodes shares parse/codegen/plan artifacts
@@ -22,17 +22,17 @@ fail a job, only slow its cache hits:
   skipped (counted as ``degraded``) until ``breaker_cooldown`` has
   passed, at which point a single half-open probe decides whether to
   close it again.  While open, lookups fall through to the local
-  disk/SharedMemory tier exactly as if no remote store were
-  configured.
+  memory/disk tiers exactly as if no remote store were configured.
 * **Write-behind publishing.**  ``offer`` enqueues spill uploads on a
   bounded queue drained by a daemon thread; under backpressure the
   queue sheds **oldest-first** (the newest artifact is the one a peer
   is most likely to want) and counts what it dropped.
 
-Counters flow into the run-wide SHM store under the reserved
-``__remote__``/``__remote_pub__`` rows (see :data:`EVENT_ROWS`), so
-``batch --report`` and ``/stats`` observe pool-wide remote traffic the
-same way they observe cross-worker hits.
+Counters are per process.  Every worker reply carries its process's
+cumulative :meth:`RemoteStoreClient.health` snapshot; the driver keeps
+the latest one per pid and sums them with :func:`pool_view`, so
+``batch --report`` and ``/stats`` see pool-wide remote traffic in one
+shape for serial, thread and process runs.
 
 Chaos seams: :data:`request_fault_hook` and :data:`payload_fault_hook`
 are installed by :mod:`repro.service.faults` for the deterministic
@@ -50,7 +50,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Mapping
 from urllib.parse import urlsplit
 
 __all__ = [
@@ -58,28 +58,21 @@ __all__ = [
     "InjectedNetworkFault",
     "RemoteStoreClient",
     "RemoteStoreConfig",
-    "REMOTE_ROW",
-    "REMOTE_PUB_ROW",
-    "remote_view",
+    "VIEW_FIELDS",
+    "pool_view",
 ]
 
-#: Reserved SHM counter-row names for pool-wide remote-store counters.
-#: Rows starting with ``__`` are internal: the store keeps them out of
-#: the per-pass listings and surfaces them through :func:`remote_view`.
-REMOTE_ROW = "__remote__"
-REMOTE_PUB_ROW = "__remote_pub__"
-
-#: event name -> (counter row, field index) for the SHM adapter.
-EVENT_ROWS: dict[str, tuple[str, int]] = {
-    "hit": (REMOTE_ROW, 0),
-    "miss": (REMOTE_ROW, 1),
-    "put": (REMOTE_ROW, 2),
-    "error": (REMOTE_ROW, 3),
-    "breaker_open": (REMOTE_ROW, 4),
-    "breaker_close": (REMOTE_ROW, 5),
-    "publish_shed": (REMOTE_PUB_ROW, 0),
-    "publish_error": (REMOTE_PUB_ROW, 1),
-    "degraded": (REMOTE_PUB_ROW, 2),
+#: Pool-wide view field -> the client counter (event name) it sums.
+VIEW_FIELDS: dict[str, str] = {
+    "hits": "hit",
+    "misses": "miss",
+    "puts": "put",
+    "errors": "error",
+    "breaker_opens": "breaker_open",
+    "breaker_closes": "breaker_close",
+    "publish_shed": "publish_shed",
+    "publish_errors": "publish_error",
+    "degraded": "degraded",
 }
 
 #: Chaos seams (installed by :mod:`repro.service.faults`; never set in
@@ -222,10 +215,6 @@ class RemoteStoreClient:
     ``worker_init``).  Thread-safe: the publisher thread and the
     worker's lookup path share one persistent keep-alive connection
     behind a lock, reconnecting on error.
-
-    ``on_event`` (when given) receives every counter event by name —
-    the worker runtime binds it to the SHM store so remote traffic
-    aggregates pool-wide; see :data:`EVENT_ROWS`.
     """
 
     def __init__(
@@ -233,7 +222,6 @@ class RemoteStoreClient:
         url: str,
         *,
         config: RemoteStoreConfig | None = None,
-        on_event: Callable[[str, int], None] | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -246,7 +234,6 @@ class RemoteStoreClient:
         self.host = parts.hostname
         self.port = parts.port or 80
         self.config = config or RemoteStoreConfig()
-        self._on_event = on_event
         self._sleep = sleep
         self.breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
@@ -258,8 +245,8 @@ class RemoteStoreClient:
         self._io_lock = threading.Lock()
         self._conn: http.client.HTTPConnection | None = None
         self._closed = False
-        # local counters (pool-wide aggregation rides on_event)
-        self.counters = {name: 0 for name in EVENT_ROWS}
+        # per-process counters; pool_view sums them across processes
+        self.counters = {name: 0 for name in VIEW_FIELDS.values()}
         # write-behind publish queue
         self._pub_lock = threading.Lock()
         self._pub_queue: deque[tuple[str, Path]] = deque()
@@ -270,11 +257,8 @@ class RemoteStoreClient:
 
     # -- counters --------------------------------------------------------
 
-    def _event(self, name: str, delta: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + delta
-        if self._on_event is not None:
-            with contextlib.suppress(Exception):
-                self._on_event(name, delta)
+    def _event(self, name: str) -> None:
+        self.counters[name] += 1
 
     def health(self) -> dict[str, Any]:
         """Client-local counters + breaker state (one process's view)."""
@@ -470,47 +454,19 @@ class RemoteStoreClient:
                 self._conn = None
 
 
-def remote_view(
-    internal: "dict[str, Any]",
+def pool_view(
+    snapshots: Iterable[Mapping[str, Any]],
 ) -> dict[str, int] | None:
-    """Pool-wide remote counters from the store's internal rows.
+    """Sum per-process :meth:`RemoteStoreClient.health` snapshots.
 
-    ``internal`` maps reserved row names to
-    :class:`~repro.pipeline.store.StorePassStats`; the row fields are
-    positional (see :data:`EVENT_ROWS`), so this renames them into the
-    shape ``/stats`` and ``batch --report`` publish.
+    The one shape ``/stats["remote"]``, ``BatchRunStats.remote`` and
+    ``batch --report`` publish; None when no process reported a client
+    (no remote tier configured).
     """
-    row = internal.get(REMOTE_ROW)
-    pub = internal.get(REMOTE_PUB_ROW)
-    if row is None and pub is None:
+    snapshots = list(snapshots)
+    if not snapshots:
         return None
-    out = {
-        "hits": 0, "misses": 0, "puts": 0, "errors": 0,
-        "breaker_opens": 0, "breaker_closes": 0,
-        "publish_shed": 0, "publish_errors": 0, "degraded": 0,
+    return {
+        field: sum(int(s.get(event, 0)) for s in snapshots)
+        for field, event in VIEW_FIELDS.items()
     }
-    if row is not None:
-        out.update(
-            hits=row.hits, misses=row.misses, puts=row.writes,
-            errors=row.cross_worker_hits, breaker_opens=row.bytes_written,
-            breaker_closes=row.baseline_bytes,
-        )
-    if pub is not None:
-        out.update(
-            publish_shed=pub.hits, publish_errors=pub.misses,
-            degraded=pub.writes,
-        )
-    return out
-
-
-def store_event_adapter(store: Any) -> Callable[[str, int], None]:
-    """Bind client events to the SHM store's reserved counter rows."""
-
-    def on_event(name: str, delta: int) -> None:
-        target = EVENT_ROWS.get(name)
-        if target is None:
-            return
-        row, index = target
-        store._bump(row, field_index=index, delta=delta)
-
-    return on_event

@@ -4,8 +4,7 @@ The pipeline's execution surface is split in five:
 
 * :mod:`repro.service.core` — the worker runtime shared by every
   concurrent driver: per-process pass managers bound to a cache
-  directory and a :class:`~repro.pipeline.store.SharedArtifactStore`,
-  typed job specs keyed by content hash, and the ordered dispatch
+  directory (and optionally a remote store node), typed job specs keyed by content hash, and the ordered dispatch
   helpers ``ompdart batch`` and the evaluation suite fan out through.
 * :mod:`repro.service.supervisor` — the fault-tolerant process pool:
   worker crash detection and respawn under a restart budget, in-flight

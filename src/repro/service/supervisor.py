@@ -27,7 +27,10 @@ workers directly:
 The worker processes run exactly the :func:`repro.service.core.worker_init`
 / :func:`repro.service.core.execute_job` runtime the old executor ran,
 so results are bit-identical — supervision changes who watches the
-workers, not what they compute.
+workers, not what they compute.  Every ``done`` reply also carries the
+worker's cumulative remote-tier counters
+(:func:`repro.service.core.remote_snapshot`); the pool keeps the latest
+snapshot per pid for :meth:`SupervisedPool.remote_view`.
 """
 
 from __future__ import annotations
@@ -42,8 +45,15 @@ from concurrent.futures import Future, InvalidStateError
 from multiprocessing.connection import wait as _mp_wait
 from typing import Any
 
+from ..pipeline.store import sweep_dead_tmp
 from . import faults as faults_module
-from .core import JobSpec, describe_exception, execute_job, worker_init
+from .core import (
+    JobSpec,
+    describe_exception,
+    execute_job,
+    remote_snapshot,
+    worker_init,
+)
 
 __all__ = [
     "JobCancelled",
@@ -83,8 +93,6 @@ def _worker_main(
     conn,
     parent_conn,
     cache_dir: str | None,
-    store_name: str | None,
-    measure_baseline: bool,
     fault_plan,
     store_url: str | None = None,
 ) -> None:
@@ -107,7 +115,7 @@ def _worker_main(
         # worker_init builds the remote client (whose prewarm-adjacent
         # traffic the chaos plans target).
         faults_module.install(fault_plan)
-        worker_init(cache_dir, store_name, measure_baseline, store_url)
+        worker_init(cache_dir, store_url)
     except BaseException as exc:  # noqa: BLE001 - reported to supervisor
         try:
             conn.send(("init-fail", os.getpid(), describe_exception(exc)))
@@ -140,7 +148,7 @@ def _worker_main(
             # before the reply — the most adversarial death point: any
             # artifacts the job spilled are on disk, the answer is not.
             faults_module.maybe_kill(key, attempt)
-            reply = ("done", seq, result)
+            reply = ("done", seq, result, remote_snapshot())
         try:
             conn.send(reply)
         except (OSError, ValueError):
@@ -226,26 +234,20 @@ class SupervisedPool:
         workers: int,
         *,
         cache_dir: str | None = None,
-        store_name: str | None = None,
-        measure_baseline: bool = False,
         job_retries: int = 1,
         retry_backoff: float = 0.05,
         max_restarts: int = 16,
         cancel_grace: float = 2.0,
         fault_plan=None,
-        store=None,
         store_url: str | None = None,
     ):
         self.cache_dir = cache_dir
-        self.store_name = store_name
         self.store_url = store_url
-        self.measure_baseline = measure_baseline
         self.job_retries = max(0, job_retries)
         self.retry_backoff = max(0.0, retry_backoff)
         self.max_restarts = max(0, max_restarts)
         self.cancel_grace = max(0.0, cancel_grace)
         self.fault_plan = fault_plan
-        self._store = store
         self._max_workers = max(1, workers)
         try:
             self._ctx = multiprocessing.get_context("fork")
@@ -266,6 +268,8 @@ class SupervisedPool:
         self._cancel_kills = 0
         self._poisoned = 0
         self._completed = 0
+        #: pid -> latest cumulative remote-client health of that worker.
+        self._remote_health: dict[int, dict[str, Any]] = {}
         self._wake_r, self._wake_w = os.pipe()
         try:
             for _ in range(self._max_workers):
@@ -319,6 +323,13 @@ class SupervisedPool:
             "pending": len(self._pending),
             "exhausted": self.exhausted,
         }
+
+    def remote_view(self) -> dict[str, int] | None:
+        """Pool-wide remote-tier counters, summed over every worker
+        that ever replied (dead workers' traffic still happened)."""
+        from ..pipeline.remote import pool_view
+
+        return pool_view(list(self._remote_health.values()))
 
     def shutdown(self, wait: bool = True, **_ignored) -> None:
         """Stop supervising, kill workers, settle leftover futures."""
@@ -515,6 +526,9 @@ class SupervisedPool:
                 # drain the budget, not loop forever).
                 worker.conn_broken = True
                 continue
+            if kind == "done" and msg[3] is not None:
+                pid, health = msg[3]
+                self._remote_health[pid] = health
             job = worker.job
             if job is None or job.seq != msg[1]:
                 continue  # stale reply from a settled/cancelled job
@@ -563,13 +577,10 @@ class SupervisedPool:
                         2 ** (job.attempts - 1)
                     )
                     self._pending.append(job)
-        if self._store is not None:
-            # A dead writer may have left pid-stamped slots and orphan
-            # spill tmp files behind; reclaim before the retry runs.
-            try:
-                self._store.reclaim_dead()
-            except Exception:  # noqa: BLE001 - reclamation is best-effort
-                pass
+        if self.cache_dir is not None:
+            # A writer killed mid-spill leaves its pid-stamped .tmp
+            # behind; sweep before the retry runs.
+            sweep_dead_tmp(self.cache_dir)
         if self._stop:
             return
         if not cancel_kill:
@@ -614,8 +625,8 @@ class SupervisedPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
-                child_conn, parent_conn, self.cache_dir, self.store_name,
-                self.measure_baseline, self.fault_plan, self.store_url,
+                child_conn, parent_conn, self.cache_dir, self.fault_plan,
+                self.store_url,
             ),
             daemon=True,
         )

@@ -1,8 +1,9 @@
 """Typed per-pass artifact schemas: compact spills, versioned keys,
-legacy readability, and cache-directory migration."""
+and the cache's pre-warm from a spill directory."""
 
 import pickle
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,12 @@ PASS_NAMES = (
     "preprocess", "parse", "codegen", "constraints", "effects", "cfg",
     "plan", "rewrite",
 )
+
+
+def whole_object_size(artifact):
+    """Compaction oracle: bytes the historical whole-object spill format
+    (one zlib'd pickle of the artifact, AST copy included) wrote."""
+    return len(zlib.compress(pickle.dumps(artifact, protocol=5), 6))
 
 
 @pytest.fixture(scope="module")
@@ -56,12 +63,11 @@ class TestSchemas:
         """effects/cfg/plan no longer spill a whole AST copy each."""
         for name in ("effects", "cfg", "plan"):
             compact = len(AR.encode_spill(name, ctx.artifacts[name]))
-            legacy = AR.legacy_size(ctx.artifacts[name])
-            assert compact < legacy, name
+            assert compact < whole_object_size(ctx.artifacts[name]), name
         # effects is almost pure reference payload: a small fraction.
         assert len(
             AR.encode_spill("effects", ctx.artifacts["effects"])
-        ) < AR.legacy_size(ctx.artifacts["effects"]) / 3
+        ) < whole_object_size(ctx.artifacts["effects"]) / 3
 
     def test_decoded_refs_share_node_identity_with_parse(self, ctx):
         parse2 = AR.decode_spill(
@@ -146,77 +152,6 @@ class TestVersionedKeys:
         assert cache.get("rewrite", "k") is MISS
 
 
-def _write_legacy_spills(manager, cache_dir, source, filename):
-    """Spill one input's artifacts exactly as the PR 3 format did."""
-    ctx = manager.run(source, filename)
-    key = manager.input_key(source, filename, ToolOptions())
-    for name, artifact in ctx.artifacts.items():
-        raw = zlib.compress(pickle.dumps(artifact, protocol=5), 6)
-        (cache_dir / f"{name}-{key}.pkl").write_bytes(raw)
-    return key, ctx
-
-
-class TestLegacyAndMigration:
-    def test_legacy_whole_object_spills_still_load(self, tmp_path):
-        manager = PassManager()
-        key, ctx = _write_legacy_spills(manager, tmp_path, SRC, "t.c")
-        cold = ArtifactCache(disk_dir=tmp_path)
-        assert cold.get("rewrite", key) == ctx.artifacts["rewrite"]
-        # Even analysis artifacts load (self-contained legacy pickles).
-        effects = cold.get("effects", key)
-        assert effects is not MISS
-        assert effects.summaries.keys() == ctx.artifacts["effects"].summaries.keys()
-
-    def test_legacy_plain_pickle_spills_still_load(self, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path)
-        path = cache._disk_path("parse", "old")
-        with open(path, "wb") as fh:
-            pickle.dump({"legacy": True}, fh)
-        assert cache.get("parse", "old") == {"legacy": True}
-
-    def test_migrate_rewrites_legacy_spills_compact(self, tmp_path):
-        manager = PassManager()
-        key, ctx = _write_legacy_spills(manager, tmp_path, SRC, "t.c")
-        before = sum(p.stat().st_size for p in tmp_path.glob("*.pkl"))
-        report = AR.migrate_spills(tmp_path)
-        assert report.migrated == len(ctx.artifacts)
-        assert report.failed == 0
-        assert report.bytes_before == before
-        assert report.bytes_saved > 0
-        assert "saved" in report.render()
-        assert not list(tmp_path.glob("*.pkl"))
-        assert len(list(tmp_path.glob("*.art"))) == report.migrated
-        # A pipeline over the migrated directory answers from cache.
-        fresh = PassManager(cache=ArtifactCache(disk_dir=tmp_path))
-        ctx2 = fresh.run(SRC, "t.c")
-        assert set(ctx2.cache_events.values()) == {"hit"}
-        assert ctx2.artifact("rewrite") == ctx.artifacts["rewrite"]
-
-    def test_migrate_skips_compact_and_counts_unreadable(self, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache.put("rewrite", "k", "already compact")
-        (tmp_path / "parse-broken.pkl").write_bytes(b"not a pickle")
-        report = AR.migrate_spills(tmp_path)
-        assert report.migrated == 0
-        assert report.failed == 1
-
-    def test_batch_cli_migrate(self, tmp_path, capsys):
-        from repro.cli import main
-
-        manager = PassManager()
-        _write_legacy_spills(manager, tmp_path, SRC, "t.c")
-        assert main(["batch", "--cache-dir", str(tmp_path), "--migrate"]) == 0
-        out = capsys.readouterr().out
-        assert "migrated" in out and "saved" in out
-        assert not list(tmp_path.glob("*.pkl"))
-
-    def test_batch_cli_migrate_requires_cache_dir(self, capsys):
-        from repro.cli import main
-
-        assert main(["batch", "--migrate"]) == 2
-        assert "--cache-dir" in capsys.readouterr().err
-
-
 class TestPrewarmCompact:
     def test_prewarm_decodes_ref_spills_against_group_parse(self, tmp_path):
         manager = PassManager(cache=ArtifactCache(disk_dir=tmp_path))
@@ -242,3 +177,25 @@ class TestPrewarmCompact:
         loaded = cold.prewarm()
         # Reference spills (effects/cfg/plan) cannot anchor: skipped.
         assert loaded == len(list(tmp_path.glob("*.art"))) - 3
+
+    def test_prewarm_skips_a_spill_that_vanished_after_the_glob(
+        self, tmp_path, monkeypatch
+    ):
+        """A sibling's GC sweep or a quarantine rename can remove one
+        spill between the directory listing and its stat: that spill is
+        skipped, the rest still load."""
+        cache = ArtifactCache(disk_dir=tmp_path)
+        for i in range(5):
+            cache.put("rewrite", f"k{i}", f"text {i}")
+        victim = sorted(tmp_path.glob("*.art"))[2]
+        real_stat = Path.stat
+
+        def stat(self, *args, **kwargs):
+            if self == victim:
+                raise FileNotFoundError(str(self))
+            return real_stat(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "stat", stat)
+        cold = ArtifactCache(disk_dir=tmp_path)
+        assert cold.prewarm() == 4
+        assert len(cold) == 4

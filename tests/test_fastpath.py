@@ -1,11 +1,6 @@
-"""PR-10 frontend fast path: profile artifact, fused-analysis identity,
-synthetic corpus, bench-batch gating, and the lazy CLI cold start.
-
-The heavyweight check here is the fused-vs-legacy plan identity sweep:
-every corpus variant (9 benchmarks x unoptimized / tool-transformed /
-expert) is pushed through both analysis paths in one subprocess — the
-node-id counter is reset per run so both paths see identical allocation
-state — and the canonical artifact encodings must match byte for byte.
+"""Frontend fast path: profile artifact, synthetic corpus, bench-batch
+gating, and the lazy CLI cold start.  (The fused analysis walk's plans
+are pinned by ``test_analysis_golden.py``.)
 """
 
 import json
@@ -147,104 +142,6 @@ class TestProfileArtifact:
         path.write_text(json.dumps({"schema": "ompdart-suite-perf/1"}))
         with pytest.raises(ValueError):
             load_profile(str(path))
-
-
-# ---------------------------------------------------------------------------
-# Fused single-walk analysis == legacy multi-walk analysis (bit identity)
-# ---------------------------------------------------------------------------
-
-
-_IDENTITY_DRIVER = textwrap.dedent(
-    """
-    import hashlib, itertools, json, sys
-
-    from repro.cfg import graph as cfg_graph
-    from repro.diagnostics import ToolError
-    from repro.frontend import ast_nodes
-    from repro.pipeline.artifacts import encode_spill
-    from repro.pipeline.context import ToolOptions
-    from repro.pipeline.manager import PassManager
-    from repro.suite.registry import BENCHMARK_ORDER, get_benchmark
-
-
-    def digest(source, filename, legacy):
-        # Reset BOTH global id counters (AST nodes and CFG nodes) so
-        # the two analysis paths see identical allocation state; both
-        # runs share one process, so set/dict iteration order is
-        # identical too.
-        ast_nodes._node_ids = itertools.count()
-        cfg_graph._cfg_node_ids = itertools.count(1)
-        manager = PassManager(cache=None)
-        try:
-            ctx = manager.run(
-                source, filename, ToolOptions(legacy_analysis=legacy)
-            )
-        except ToolError as exc:
-            return {"error": str(exc) + "|" + repr(exc.diagnostics)}
-        return {
-            "plan": hashlib.sha256(
-                encode_spill("plan", ctx.artifact("plan"))
-            ).hexdigest(),
-            "constraints": hashlib.sha256(
-                encode_spill("constraints", ctx.artifact("constraints"))
-            ).hexdigest(),
-            "output": hashlib.sha256(
-                ctx.artifact("rewrite").encode()
-            ).hexdigest(),
-        }
-
-
-    def transformed_source(source, filename):
-        ast_nodes._node_ids = itertools.count()
-        cfg_graph._cfg_node_ids = itertools.count(1)
-        return PassManager(cache=None).run(source, filename).artifact(
-            "rewrite"
-        )
-
-
-    results = {}
-    for name in BENCHMARK_ORDER:
-        bench = get_benchmark(name)
-        unopt = bench.unoptimized_source()
-        variants = {
-            "unoptimized": unopt,
-            "transformed": transformed_source(unopt, name + ".c"),
-            "expert": bench.expert_source(),
-        }
-        for variant, source in variants.items():
-            key = f"{name}/{variant}"
-            results[key] = {
-                "fused": digest(source, key + ".c", False),
-                "legacy": digest(source, key + ".c", True),
-            }
-    json.dump(results, open(sys.argv[1], "w"))
-    """
-)
-
-
-def test_fused_analysis_is_bit_identical_to_legacy(tmp_path):
-    """All 27 corpus variants: fused plans == legacy plans, byte for
-    byte (or identical diagnostics where the variant is rejected)."""
-    out_path = str(tmp_path / "identity.json")
-    proc = subprocess.run(
-        [sys.executable, "-c", _IDENTITY_DRIVER, out_path],
-        env=_subprocess_env(),
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert proc.returncode == 0, proc.stderr
-    results = json.load(open(out_path))
-    assert len(results) == 27
-    mismatches = {
-        key: pair for key, pair in results.items()
-        if pair["fused"] != pair["legacy"]
-    }
-    assert not mismatches, mismatches
-    # The sweep must exercise both outcomes: plannable variants and
-    # constraint-rejected ones (experts carry data-mapping directives).
-    assert any("plan" in pair["fused"] for pair in results.values())
-    assert any("error" in pair["fused"] for pair in results.values())
 
 
 # ---------------------------------------------------------------------------

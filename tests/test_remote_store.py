@@ -10,16 +10,13 @@ import pytest
 import repro.pipeline.remote as remote_module
 from repro.pipeline.cache import MISS, ORIGIN_REMOTE, ArtifactCache
 from repro.pipeline.remote import (
-    EVENT_ROWS,
-    REMOTE_PUB_ROW,
-    REMOTE_ROW,
+    VIEW_FIELDS,
     CircuitBreaker,
     RemoteStoreClient,
     RemoteStoreConfig,
     _jitter,
-    remote_view,
+    pool_view,
 )
-from repro.pipeline.store import StorePassStats
 
 #: A localhost port nothing listens on (reserved, never assigned).
 DEAD_URL = "http://127.0.0.1:1"
@@ -177,24 +174,25 @@ class TestRetryMachinery:
             client.close()
 
 
-class TestRemoteView:
-    def test_absent_rows_mean_no_remote_tier(self):
-        assert remote_view({}) is None
-        assert remote_view({"__store_gc__": StorePassStats()}) is None
+class TestPoolView:
+    def test_no_snapshots_mean_no_remote_tier(self):
+        assert pool_view([]) is None
 
-    def test_field_mapping_matches_event_rows(self):
-        view = remote_view({
-            REMOTE_ROW: StorePassStats(1, 2, 3, 4, 5, 6),
-            REMOTE_PUB_ROW: StorePassStats(7, 8, 9, 0, 0, 0),
-        })
-        assert view == {
-            "hits": 1, "misses": 2, "puts": 3, "errors": 4,
-            "breaker_opens": 5, "breaker_closes": 6,
-            "publish_shed": 7, "publish_errors": 8, "degraded": 9,
-        }
-        # EVENT_ROWS indices and the view fields must stay in lockstep.
-        assert EVENT_ROWS["hit"] == (REMOTE_ROW, 0)
-        assert EVENT_ROWS["degraded"] == (REMOTE_PUB_ROW, 2)
+    def test_sums_client_counters_per_field(self):
+        client = RemoteStoreClient(DEAD_URL, config=FAST)
+        try:
+            a = dict(client.health(), hit=2, error=1, breaker_open=1)
+            b = dict(client.health(), hit=3, degraded=4, publish_error=5)
+        finally:
+            client.close()
+        view = pool_view([a, b])
+        assert set(view) == set(VIEW_FIELDS)
+        assert view["hits"] == 5
+        assert view["errors"] == 1
+        assert view["breaker_opens"] == 1
+        assert view["degraded"] == 4
+        assert view["publish_errors"] == 5
+        assert view["puts"] == 0
 
 
 def _spill_payload(tmp_path, value=(1, 2, 3)):
@@ -388,50 +386,79 @@ class TestTieredCache:
             client.close()
 
 
+_DEGRADE_SRC = (
+    "int a[8];\nint main() {\n"
+    "  #pragma omp target teams distribute parallel for\n"
+    "  for (int i = 0; i < 8; i++) a[i] = i;\n"
+    "  return 0;\n}\n"
+)
+
+
+def _serve_one_job_against_dead_store(tmp_path, *, use_processes):
+    """(healthz status, healthz body, /stats body) after one transform
+    job on a node whose remote store is unreachable."""
+    from repro.service.server import JobServer
+
+    async def run():
+        scheduler = _scheduler(
+            cache_dir=str(tmp_path), store_url=DEAD_URL,
+            use_processes=use_processes,
+        )
+        if use_processes and scheduler.executor_kind != "supervised":
+            await scheduler.aclose()
+            pytest.skip("process workers unavailable on this host")
+        server = JobServer(scheduler, port=0)
+        host, port = await server.start()
+        try:
+            response = await _request(
+                host, port, "POST", "/run",
+                {"kind": "transform", "source": _DEGRADE_SRC,
+                 "filename": "a.c"},
+            )
+            assert response.status == 200
+            assert response.json()["state"] == "done"
+            health = await _request(host, port, "GET", "/healthz")
+            stats = await _request(host, port, "GET", "/stats")
+            return health.status, health.json(), stats.json()
+        finally:
+            await server.aclose()
+
+    return asyncio.run(run())
+
+
+def _assert_degraded_by_open_breaker(status, health, stats):
+    # Degraded is a *warning* state: still 200, never 503.
+    assert status == 200
+    assert health["ok"] is True
+    assert health["status"] == "degraded"
+    assert any("circuit breaker" in r for r in health["reasons"])
+    assert stats["remote"]["breaker_opens"] >= 1
+    assert stats["remote"]["errors"] >= 1
+    assert any(
+        "circuit breaker" in r for r in stats["degraded_reasons"]
+    )
+
+
 class TestDegradedHealth:
     def test_scheduler_reports_open_breaker_and_healthz_degrades(
         self, tmp_path
     ):
         from repro.service.core import worker_init
-        from repro.service.server import JobServer
-
-        src = (
-            "int a[8];\nint main() {\n"
-            "  #pragma omp target teams distribute parallel for\n"
-            "  for (int i = 0; i < 8; i++) a[i] = i;\n"
-            "  return 0;\n}\n"
-        )
-
-        async def run():
-            server = JobServer(
-                _scheduler(cache_dir=str(tmp_path), store_url=DEAD_URL),
-                port=0,
-            )
-            host, port = await server.start()
-            try:
-                response = await _request(
-                    host, port, "POST", "/run",
-                    {"kind": "transform", "source": src, "filename": "a.c"},
-                )
-                assert response.status == 200
-                assert response.json()["state"] == "done"
-                health = await _request(host, port, "GET", "/healthz")
-                stats = await _request(host, port, "GET", "/stats")
-                return health.status, health.json(), stats.json()
-            finally:
-                await server.aclose()
 
         try:
-            status, health, stats = asyncio.run(run())
+            result = _serve_one_job_against_dead_store(
+                tmp_path, use_processes=False
+            )
         finally:
             worker_init(None)  # reset the thread runtime's remote tier
-        # Degraded is a *warning* state: still 200, never 503.
-        assert status == 200
-        assert health["ok"] is True
-        assert health["status"] == "degraded"
-        assert any("circuit breaker" in r for r in health["reasons"])
-        assert stats["remote"]["breaker_opens"] >= 1
-        assert stats["remote"]["errors"] >= 1
-        assert any(
-            "circuit breaker" in r for r in stats["degraded_reasons"]
+        _assert_degraded_by_open_breaker(*result)
+
+    def test_supervised_pool_reports_open_breaker_and_healthz_degrades(
+        self, tmp_path
+    ):
+        """The same contract on process workers: their remote counters
+        reach ``/stats`` and ``/healthz`` only through job replies."""
+        result = _serve_one_job_against_dead_store(
+            tmp_path, use_processes=True
         )
+        _assert_degraded_by_open_breaker(*result)
